@@ -4,7 +4,7 @@ Usage::
 
     python -m repro resil run --tier quick      # CI smoke deck
     python -m repro resil run --tier full       # nightly deck
-    python -m repro resil run --workers 4       # shard the deck (see par)
+    python -m repro resil run --workers 4       # shard the deck
     python -m repro resil run --scenario churn  # restrict scenarios
     python -m repro resil run --case 'storm:1:site=tbuddy.split,p=0.5'
     python -m repro resil replay 'storm:1:site=tbuddy.split,p=0.5,max=8'
@@ -26,7 +26,6 @@ import sys
 import time
 from typing import List, Optional
 
-from ..sim.scheduler import ENGINES
 from ..verify.runner import SCENARIOS
 from .plan import SITES
 from .runner import (
@@ -81,11 +80,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--case", action="append", metavar="SPEC", default=None,
         help="run explicit case(s) 'scenario:seed:fault-plan' instead of "
              "a deck (repeatable)",
-    )
-    p_run.add_argument(
-        "--engine", choices=ENGINES, default="event",
-        help="scheduler run loop for deck cases (default 'event'); "
-             "explicit --case specs carry their own [/engine] qualifier",
     )
     p_run.add_argument(
         "--no-replay-check", action="store_true",
@@ -149,7 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as e:
             parser.error(str(e))
     else:
-        deck = deck_for(args.tier, engine=args.engine)
+        deck = deck_for(args.tier)
         if args.scenario:
             deck = [s for s in deck if s.scenario in args.scenario]
             if not deck:

@@ -103,9 +103,8 @@ def test_pr10_adds_lockstep_and_honest_engine_walls():
     cur = _virtual_metrics(PR10)
     assert "lockstep" in cur, "PR10 artifact is missing 'lockstep'"
     doc = json.loads(PR10.read_text())
-    # every case records which run loop produced it (the event engine:
-    # batch is parity-locked, but the trajectory baseline stays on the
-    # reference loop)
+    # every case records which run loop produced it: the event engine
+    # (the batch engine this artifact measured has since been removed)
     assert all(c.get("engine") == "event" for c in doc["cases"].values())
     wall = doc["engine_wall"]
     assert wall["event_seconds"] > wall["batch_seconds"] > 0

@@ -37,24 +37,16 @@ class TestResilSpec:
             ResilSpec.parse(raw)
 
     def test_parse_round_trips_engine_qualifier(self):
+        # `/batch` and `/event` are no-op aliases of the one engine
         spec = ResilSpec.parse("storm/batch:7:site=tbuddy.split,p=0.5")
-        assert spec.engine == "batch"
-        assert spec.replay.startswith("storm/batch:7:")
-        assert ResilSpec.parse(spec.replay) == spec
-        # the default engine is elided from the canonical form
+        assert spec == ResilSpec.parse("storm:7:site=tbuddy.split,p=0.5")
+        assert spec.replay == "storm:7:site=tbuddy.split,p=0.5"
         assert ResilSpec.parse("storm/event:7").replay == "storm:7:"
 
     def test_parse_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match="unknown engine") as ei:
             ResilSpec.parse("storm/vector:7")
-
-    def test_deck_for_pins_an_engine(self):
-        deck = deck_for("quick", engine="batch")
-        assert deck and all(s.engine == "batch" for s in deck)
-        # spec identity otherwise untouched
-        base = deck_for("quick")
-        assert [(s.scenario, s.seed, s.plan) for s in deck] == \
-            [(s.scenario, s.seed, s.plan) for s in base]
+        assert "'storm/vector:7'" in str(ei.value)
 
     def test_deck_covers_workload_scenarios(self):
         # the multi-tenant workload runs under faults in the smoke deck,

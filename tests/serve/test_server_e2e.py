@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 from repro.serve import protocol
 from repro.serve.engine import ServeEngine
@@ -54,6 +55,38 @@ def _server(**engine_kw):
     engine_kw.setdefault("seed", 0)
     return ServeServer(ServeEngine(**engine_kw), batch_window=0.002,
                        batch_max=32)
+
+
+def _stop_timed(srv, before):
+    """Stop ``srv``; return (seconds taken, its serve-* threads still
+    alive afterwards)."""
+    t0 = time.perf_counter()
+    srv.stop()
+    took = time.perf_counter() - t0
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.name.startswith("serve-")]
+    return took, leaked
+
+
+class TestLifecycle:
+    def test_idle_stop_is_prompt_and_leaks_no_thread(self):
+        before = set(threading.enumerate())
+        srv = _server()
+        srv.start()
+        took, leaked = _stop_timed(srv, before)
+        assert took < 0.5
+        assert leaked == []
+
+    def test_stop_after_a_session_is_prompt_and_leaks_no_thread(self):
+        before = set(threading.enumerate())
+        srv = _server()
+        host, port = srv.start()
+        c = _Client(host, port, tenant=0)
+        assert c.request("malloc", size=64)["ok"]
+        c.close()
+        took, leaked = _stop_timed(srv, before)
+        assert took < 0.5
+        assert leaked == []
 
 
 class TestSingleSession:

@@ -13,6 +13,8 @@ from repro.sim import (
     ops,
 )
 from repro.sim.cost_model import CostModel
+from repro.sim.errors import EventBudgetExceeded
+from repro.sim.trace import Tracer
 
 
 def fresh(size=1 << 16, **dev):
@@ -486,3 +488,115 @@ class TestErrors:
         assert all(isinstance(k, str) for k in named)
         # sorted by count descending
         assert list(named.values()) == sorted(named.values(), reverse=True)
+
+
+class TestReuseAndBudget:
+    """Scheduler reuse across runs and the ``run(max_events=N)`` guard."""
+
+    def _build(self, s, mem):
+        word = mem.host_alloc(8)
+
+        def kernel(ctx):
+            for _ in range(8):
+                yield ops.atomic_add(word, 1)
+
+        s.launch(kernel, 2, 32)
+        return word
+
+    def _events_needed(self):
+        mem = DeviceMemory(1 << 16)
+        s = Scheduler(mem)
+        self._build(s, mem)
+        return s.run().events
+
+    def test_multi_launch_reuse(self):
+        # A reused scheduler: virtual time keeps advancing, event counts
+        # accumulate, and the whole two-run sequence is deterministic.
+        def run():
+            mem = DeviceMemory(1 << 16)
+            word = mem.host_alloc(8)
+
+            def kernel(ctx):
+                yield ops.atomic_add(word, 1)
+                yield ops.sleep(ctx.tid % 3)
+
+            s = Scheduler(mem, seed=1)
+            s.launch(kernel, 1, 32)
+            r1 = s.run()
+            t_mid = s.now
+            s.launch(kernel, 1, 32)
+            r2 = s.run()
+            return (r1.cycles, r1.events, t_mid, r2.cycles, r2.events,
+                    s.now, mem.load_word(word))
+
+        first = run()
+        assert first == run()
+        r1_cycles, r1_events, t_mid, r2_cycles, r2_events, now, total = first
+        assert r1_cycles == t_mid < r2_cycles == now
+        assert r2_events > r1_events
+        assert total == 64
+
+    def test_budget_trips_at_an_exact_event_count(self):
+        needed = self._events_needed()
+        mem = DeviceMemory(1 << 16)
+        s = Scheduler(mem)
+        self._build(s, mem)
+        with pytest.raises(EventBudgetExceeded):
+            s.run(max_events=needed - 1)
+
+    def test_exact_budget_completes(self):
+        needed = self._events_needed()
+        mem = DeviceMemory(1 << 16)
+        s = Scheduler(mem)
+        word = self._build(s, mem)
+        r = s.run(max_events=needed)
+        assert r.events == needed
+        assert mem.load_word(word) == 8 * 64
+
+    def test_post_trip_state(self):
+        # A budget trip abandons the run (EventBudgetExceeded is a
+        # DeadlockError: the guard fired, the schedule is suspect).  The
+        # contract is not resumability but determinism: the wreckage a
+        # trip leaves behind is the same every time, so diagnostics
+        # built on the tripped scheduler are reproducible.
+        def trip():
+            mem = DeviceMemory(1 << 16)
+            s = Scheduler(mem)
+            word = self._build(s, mem)
+            with pytest.raises(EventBudgetExceeded) as ei:
+                s.run(max_events=40)
+            return str(ei.value), s.live_threads, mem.load_word(word)
+
+        first = trip()
+        assert first == trip()
+        msg, live, total = first
+        assert "exceeded event budget 40" in msg
+        assert f"({live} threads still live)" in msg
+        assert 0 < live <= 64
+        assert total < 8 * 64
+
+    def test_budget_counts_only_this_run(self):
+        # The budget bounds the events of one run() call: on a reused
+        # scheduler, events executed by earlier runs must not count.
+        needed = self._events_needed()
+        mem = DeviceMemory(1 << 16)
+        s = Scheduler(mem)
+        word = self._build(s, mem)
+        assert s.run(max_events=needed).events == needed
+        self._build(s, mem)
+        r = s.run(max_events=needed)
+        assert r.events == 2 * needed
+        assert mem.load_word(word) == 8 * 64
+
+    def test_budget_counts_only_this_run_traced(self):
+        needed = self._events_needed()
+        mem = DeviceMemory(1 << 16)
+        s = Scheduler(mem, tracer=Tracer())
+        self._build(s, mem)
+        assert s.run(max_events=needed).events == needed
+        self._build(s, mem)
+        assert s.run(max_events=needed).events == 2 * needed
+        # and a second-run trip still fires at this run's count
+        self._build(s, mem)
+        with pytest.raises(EventBudgetExceeded):
+            s.run(max_events=needed - 1)

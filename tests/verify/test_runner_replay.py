@@ -43,25 +43,26 @@ class TestCaseSpec:
         assert str(CaseSpec("churn", 0)) == "churn:0:"
 
     def test_parse_round_trips_engine_qualifier(self):
+        # `/batch` is a no-op alias from when a second engine existed:
+        # it parses to the unqualified spec and is not re-emitted
         spec = CaseSpec.parse("storm/batch:3")
-        assert (spec.scenario, spec.engine, spec.seed) == ("storm", "batch", 3)
-        assert spec.replay == "storm/batch:3:"
+        assert spec == CaseSpec("storm", 3)
+        assert spec.replay == "storm:3:"
         assert CaseSpec.parse(spec.replay) == spec
-        # engine composes with a backend qualifier
+        # the alias composes with a backend qualifier
         both = CaseSpec.parse("storm@cuda/batch:3")
-        assert (both.backend, both.engine) == ("cuda", "batch")
-        assert CaseSpec.parse(both.replay) == both
+        assert both == CaseSpec("storm", 3, backend="cuda")
+        assert both.replay == "storm@cuda:3:"
 
     def test_event_engine_is_elided_from_replay(self):
-        # historic replay strings stay valid and stay canonical: the
-        # default engine never appears in the printed spec
         spec = CaseSpec.parse("storm/event:3")
-        assert spec.engine == "event"
+        assert spec == CaseSpec.parse("storm:3")
         assert spec.replay == "storm:3:"
 
     def test_parse_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match="unknown engine.*'vector'") as ei:
             CaseSpec.parse("storm/vector:3")
+        assert "'storm/vector:3'" in str(ei.value)
 
 
 class TestRunCase:
