@@ -12,7 +12,8 @@ Usage::
         # (or --trace) workload through the socket load generator, and
         # check client ledgers against the server snapshot; with
         # --reconcile also against a direct `workloads replay` of the
-        # same trace.  Exit nonzero on any protocol error or mismatch —
+        # same trace.  Exit nonzero on any protocol error, any mismatch,
+        # or any serve-* thread still alive after the server stops —
         # this is the CI serve-smoke gate.
 
     python -m repro serve record --out served.jsonl --events 160
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 import time
 from typing import List, Optional
 
@@ -161,6 +163,13 @@ def _cmd_bench(args) -> int:
         if server.protocol_errors:
             problems.append(
                 f"  {server.protocol_errors} protocol error(s) on the wire")
+        # stop() joins every thread the server started, so any live
+        # serve-* thread here is a leak
+        leaked = sorted(t.name for t in threading.enumerate()
+                        if t.name.startswith("serve-") and t.is_alive())
+        if leaked:
+            problems.append(
+                f"  server thread(s) alive after stop: {', '.join(leaked)}")
         if problems:
             failures += 1
             print("  FAIL")
@@ -169,7 +178,7 @@ def _cmd_bench(args) -> int:
             checked = "server snapshot" + (
                 " + direct replay" if args.reconcile else "")
             print(f"  OK — ledgers reconcile with {checked}, "
-                  "0 protocol errors")
+                  "0 protocol errors, 0 leaked threads")
     return 1 if failures else 0
 
 

@@ -84,9 +84,13 @@ class ServeServer:
         self._port = port
         self._listener: Optional[socket.socket] = None
         self._queue: "queue.Queue" = queue.Queue()
+        # Live threads and sessions only: a session thread removes
+        # itself and its session on exit (guarded by _sessions_lock).
         self._threads: List[threading.Thread] = []
         self._sessions: List[_Session] = []
         self._sessions_lock = threading.Lock()
+        # The most recently exited session thread; see _session_loop.
+        self._last_exited: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._lock = threading.Lock()  # protocol_errors counter
         #: malformed messages received across all sessions (the CI
@@ -125,11 +129,15 @@ class ServeServer:
                 pass
         with self._sessions_lock:
             sessions = list(self._sessions)
+            threads = list(self._threads)
         for s in sessions:
             s.close()
         self._queue.put(None)  # wake the batcher
-        for t in self._threads:
+        for t in threads:
             t.join(timeout=5.0)
+        last = self._last_exited
+        if last is not None:
+            last.join(timeout=5.0)
 
     def __enter__(self) -> Tuple[str, int]:
         return self.start()
@@ -152,15 +160,32 @@ class ServeServer:
             except OSError:
                 return  # listener closed
             sess = _Session(conn, f"{peer[0]}:{peer[1]}")
-            with self._sessions_lock:
-                self._sessions.append(sess)
             t = threading.Thread(target=self._session_loop, args=(sess,),
                                  name=f"serve-session-{sess.peer}",
                                  daemon=True)
+            # registered before start(), so the exiting thread finds itself
+            with self._sessions_lock:
+                self._sessions.append(sess)
+                self._threads.append(t)
             t.start()
-            self._threads.append(t)
 
     def _session_loop(self, sess: _Session) -> None:
+        try:
+            self._serve_session(sess)
+        finally:
+            sess.close()
+            me = threading.current_thread()
+            with self._sessions_lock:
+                self._sessions.remove(sess)
+                self._threads.remove(me)
+                prev, self._last_exited = self._last_exited, me
+            # Each exiting session thread joins the one that exited
+            # before it, and stop() joins the last: every session thread
+            # is joined without the server keeping one per session.
+            if prev is not None:
+                prev.join()
+
+    def _serve_session(self, sess: _Session) -> None:
         try:
             reader = sess.conn.makefile("r", encoding="utf-8", newline="\n")
         except OSError:
@@ -193,7 +218,6 @@ class ServeServer:
                     break
                 # malloc/free/stats are serviced by the batcher thread
                 self._queue.put((sess, req))
-        sess.close()
 
     # ------------------------------------------------------------------
     # the batcher thread (sole owner of the engine)

@@ -72,14 +72,13 @@ _MASK64 = (1 << 64) - 1
 
 class _Thread:
     __slots__ = (
-        "tid", "gen", "send", "ctx", "state", "clock", "pending", "inbox",
+        "tid", "send", "ctx", "state", "clock", "pending", "inbox",
         "block", "warp", "retval", "park_time", "finish_time",
     )
 
     def __init__(self, tid: int, gen, ctx: ThreadCtx, block: "_Block", warp: "_Warp"):
         self.tid = tid
-        self.gen = gen
-        # bound ``gen.send`` — the run loops call it once per event, and
+        # bound ``gen.send`` — the run loop calls it once per event, and
         # reading one slot beats an attribute lookup plus a method bind
         self.send = gen.send
         self.ctx = ctx
@@ -223,7 +222,6 @@ class Scheduler:
         device: GPUDevice = DEFAULT_DEVICE,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         seed: int = 0,
-        track_contention: bool = False,
         tracer: Optional[Tracer] = None,
         dispatch_jitter: int = 0,
         fault_injector: object = None,
@@ -271,7 +269,7 @@ class Scheduler:
         # preserves every historical schedule byte-for-byte.
         self.steer = steer
         # Schedule observation hook: when set, ``probe(state_digest())``
-        # fires every ``probe_every`` events on *both* run loops.  The
+        # fires every ``probe_every`` events, traced or not.  The
         # probe only observes — it must not touch scheduler or memory
         # state — so attaching one never changes virtual metrics.
         self.schedule_probe = schedule_probe
@@ -318,9 +316,6 @@ class Scheduler:
             _ops.OP_WARP_BCAST: self._op_warp_bcast,
             _ops.OP_FAULT: self._op_fault,
         }
-        # contention telemetry: word index -> atomic op count
-        self.track_contention = track_contention
-        self._word_ops: Dict[int, int] = {}
         # structured tracing/telemetry (opt-in; None costs one test per event)
         self.tracer = tracer
         if tracer is not None:
@@ -468,29 +463,18 @@ class Scheduler:
         executed by earlier ``run()`` calls on a reused scheduler do not
         count against it.
 
-        Two loop implementations execute the identical event protocol:
-        the *fast path* (no tracer attached) carries zero telemetry
-        tests or construction in its inner loop, while the *traced
-        path* reports every event into the tracer.  Virtual results —
-        cycles, events, op counts, memory effects, thread return values
-        — are bit-identical between the two (pinned by the tracer-parity
-        tests); only host wall time differs.
-        """
-        if self.tracer is None:
-            return self._run_fast(max_events)
-        return self._run_traced(max_events)
-
-    def _run_fast(self, max_events: Optional[int]) -> SimReport:
-        """Hot loop with no tracer attached.
-
-        Beyond skipping telemetry entirely, this loop inlines the event
-        push as a *deferred entry* resolved by ``heappushpop`` at the
-        top of the next iteration (one sift instead of two, and O(1)
-        when the deferred event is next anyway), indexes precompiled
-        dispatch tables instead of if/elif chains, and keeps the event
-        sequence number and clock in locals — synchronizing them back
-        to the instance only around the rare park/finish/timer paths
-        that reenter scheduler helpers.
+        One loop serves traced and untraced runs alike.  It pushes each
+        rescheduled thread as a *deferred entry* resolved by
+        ``heappushpop`` at the top of the next iteration (one sift
+        instead of two, and O(1) when the deferred event is next
+        anyway), indexes precompiled dispatch tables instead of if/elif
+        chains, and keeps the event sequence number and clock in locals
+        — synchronizing them back to the instance only around the rare
+        park/finish/timer/probe paths that reenter scheduler helpers.
+        Tracer reporting sits behind ``tracer is not None`` tests, so
+        attaching a tracer changes no virtual result — cycles, events,
+        op counts, memory effects, heap contents, thread return values
+        (pinned by the tracer-parity tests); only host wall time differs.
         """
         cm = self.cost_model
         mem = self.memory
@@ -510,8 +494,10 @@ class Scheduler:
         cas_word = mem.cas_word
         atomic_exec = self._atomic_exec
         park_get = self._park_dispatch.get
-        track = self.track_contention
-        word_ops = self._word_ops
+        tracer = self.tracer
+        # Optional per-memory-op verification hook (None on the plain
+        # Tracer; RaceChecker and friends override it with a method).
+        mem_hook = tracer.mem_op if tracer is not None else None
         _pop = heappop
         _pushpop = heappushpop
         budget = (self._events + max_events if max_events is not None
@@ -582,10 +568,16 @@ class Scheduler:
                 else:
                     result = th.inbox
                     th.inbox = None
+                if tracer is not None:
+                    # Per-thread clocks are read only by tracer hooks
+                    # (``Tracer.now``), so only traced runs keep them.
+                    th.clock = resume_at
+                    if op is not None:
+                        tracer.op_executed(th, code, t, resume_at - t)
+                        if mem_hook is not None:
+                            mem_hook(th, op, t, result)
 
-                # Resume the generator and classify its next op.  (No
-                # ``th.clock`` update here: with no tracer attached,
-                # nothing reads per-thread clocks during the run.)
+                # Resume the generator and classify its next op.
                 try:
                     nxt = th.send(result)
                 except StopIteration as stop:
@@ -620,8 +612,11 @@ class Scheduler:
                         if avail > exec_at:
                             exec_at = avail
                         word_avail[waddr] = exec_at + atomic_service
-                        if track:
-                            word_ops[waddr] = word_ops.get(waddr, 0) + 1
+                        if tracer is not None:
+                            # serialization stall: how long the word's FIFO
+                            # queue pushed this atomic past its issue slot
+                            tracer.atomic_issued(
+                                waddr, exec_at - resume_at - step_cost)
                     seq += 1
                     deferred = (exec_at, seq, tid)
                     continue
@@ -653,144 +648,6 @@ class Scheduler:
                 self._seq = seq
             self._events = events
             self._now = now
-        return self._finish_report()
-
-    def _run_traced(self, max_events: Optional[int]) -> SimReport:
-        """Instrumented loop: identical event protocol to
-        :meth:`_run_fast`, plus tracer reporting per event."""
-        cm = self.cost_model
-        mem = self.memory
-        heap = self._heap
-        threads = self._threads
-        word_avail = self._word_avail
-        counts = self._op_counts
-        tracer = self.tracer
-        # Optional per-memory-op verification hook (None on the plain
-        # Tracer; RaceChecker and friends override it with a method).
-        mem_hook = tracer.mem_op
-        atomic_service = cm.atomic_service
-        atomic_latency = cm.atomic_latency
-        load_latency = cm.load_latency
-        store_latency = cm.store_latency
-        step_cost = cm.step_cost
-        cas_word = mem.cas_word
-        load_word = mem.load_word
-        store_word = mem.store_word
-        atomic_exec = self._atomic_exec
-        park_get = self._park_dispatch.get
-        budget = (self._events + max_events if max_events is not None
-                  else _NO_BUDGET)
-        probe = self.schedule_probe
-        probe_every = self.probe_every
-
-        OP_SLEEP = _ops.OP_SLEEP
-        OP_LOAD = _ops.OP_LOAD
-        OP_CAS = _ops.OP_CAS
-        OP_MIN = _ops.OP_MIN
-        OP_YIELD = _ops.OP_YIELD
-
-        events = self._events
-        next_probe = events + probe_every if probe is not None else _NO_BUDGET
-        while heap:
-            entry = heappop(heap)
-            t = entry[0]
-            tid = entry[2]
-            self._now = t
-            events += 1
-            if events > budget:
-                self._events = events
-                raise EventBudgetExceeded(
-                    f"exceeded event budget {max_events} "
-                    f"({self._live_threads} threads still live)"
-                )
-            if events >= next_probe:
-                next_probe = events + probe_every
-                probe(self.state_digest())
-            if tid == _TIMER:
-                entry[3](t)
-                continue
-            th = threads[tid]
-            op = th.pending
-            resume_at = t
-            result: Any = None
-            if op is not None:
-                code = op[0]
-                counts[code] += 1
-                if code >= OP_CAS:
-                    if code != OP_CAS:
-                        result = atomic_exec[code](op[1], op[2])
-                    else:
-                        result = cas_word(op[1], op[2], op[3])
-                    resume_at = t + atomic_latency
-                elif code == OP_LOAD:
-                    result = load_word(op[1])
-                    resume_at = t + load_latency
-                else:
-                    store_word(op[1], op[2])
-                    resume_at = t + store_latency
-                th.pending = None
-                tracer.op_executed(th, code, t, resume_at - t)
-                if mem_hook is not None:
-                    mem_hook(th, op, t, result)
-            else:
-                result = th.inbox
-                th.inbox = None
-
-            # Resume the generator and classify its next op.
-            th.clock = resume_at
-            try:
-                nxt = th.send(result)
-            except StopIteration as stop:
-                th.retval = stop.value
-                self._events = events
-                self._finish_thread(th, resume_at)
-                continue
-            except Exception as exc:
-                exc.add_note(
-                    f"raised in device thread tid={th.tid} "
-                    f"block={th.ctx.block} lane={th.ctx.lane} "
-                    f"at cycle {resume_at}"
-                )
-                raise
-            if type(nxt) is not tuple or not nxt:
-                raise InvalidOp(
-                    f"device thread {th.tid} yielded {nxt!r}; expected an "
-                    "op tuple from repro.sim.ops"
-                )
-            code = nxt[0]
-            if OP_LOAD <= code <= OP_MIN:
-                th.pending = nxt
-                exec_at = resume_at + step_cost
-                if code >= OP_CAS:
-                    waddr = nxt[1] >> 3
-                    avail = word_avail.get(waddr, 0)
-                    if avail > exec_at:
-                        exec_at = avail
-                    word_avail[waddr] = exec_at + atomic_service
-                    if self.track_contention:
-                        self._word_ops[waddr] = self._word_ops.get(waddr, 0) + 1
-                    # serialization stall: how long the word's FIFO
-                    # queue pushed this atomic past its issue slot
-                    tracer.atomic_issued(waddr, exec_at - resume_at - step_cost)
-                self._push(exec_at, tid)
-                continue
-            if code == OP_SLEEP:
-                counts[OP_SLEEP] += 1
-                self._push(resume_at + step_cost + nxt[1], tid)
-                continue
-            if code == OP_YIELD:
-                counts[OP_YIELD] += 1
-                self._push(resume_at + cm.yield_cost, tid)
-                continue
-            handler = park_get(code)
-            if handler is None:
-                raise InvalidOp(
-                    f"device thread {th.tid} yielded unknown op {nxt!r}"
-                )
-            counts[code] += 1
-            handler(th, nxt, resume_at)
-
-        self._events = events
         return self._finish_report()
 
     def _finish_report(self) -> SimReport:
@@ -853,6 +710,10 @@ class Scheduler:
     def _finish_thread(self, th: _Thread, t: int) -> None:
         th.state = _ST_DONE
         th.finish_time = t
+        # Drop the spent generator and its context (with its RNG): a
+        # long-lived scheduler (the serve engine's) would otherwise hold
+        # every finished thread's frame.  ``retval``/``finish_time`` stay.
+        th.send = th.ctx = None
         self._live_threads -= 1
         blk = th.block
         blk.n_live -= 1
@@ -1038,13 +899,12 @@ class Scheduler:
         storms, TBuddy lock convoys and RCU grace windows all manifest
         as hot contended words).
 
-        Multiset folds are commutative sums, *not* ordered folds: the
-        fast loop's deferred ``heappushpop`` and the traced loop's
-        push-then-pop leave the same entries in different internal heap
-        order, and the digest must be identical on both paths (the
-        virtual-parity contract).  Everything folded is an int, so the
-        digest is stable across processes and platforms — no reliance
-        on ``hash()``.
+        Multiset folds are commutative sums, *not* ordered folds, so the
+        digest names the set of pending events rather than the heap's
+        internal list order (which depends on how entries were pushed).
+        The exact fold is frozen: exploration coverage hashes are built
+        from it.  Everything folded is an int, so the digest is stable
+        across processes and platforms — no reliance on ``hash()``.
         """
         now = self._now
         h = _FNV_OFFSET
@@ -1093,17 +953,3 @@ class Scheduler:
     @property
     def live_threads(self) -> int:
         return self._live_threads
-
-    def hot_words(self, n: int = 10) -> List[tuple]:
-        """Top-``n`` atomic targets as ``(byte_address, op_count)``.
-
-        Requires ``track_contention=True``; the ranking identifies the
-        serialization points of whatever ran (semaphore words, lock
-        words, popular bin counters...).
-        """
-        if not self.track_contention:
-            raise ValueError("construct the Scheduler with track_contention=True")
-        # Tie-break equal counts on the address: the ranking must be
-        # deterministic, not leak dict-insertion (first-touch) order.
-        top = sorted(self._word_ops.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-        return [(waddr << 3, count) for waddr, count in top]

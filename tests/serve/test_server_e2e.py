@@ -89,6 +89,27 @@ class TestLifecycle:
         assert leaked == []
 
 
+    def test_finished_sessions_are_forgotten(self):
+        """Each hello/bye session leaves nothing behind: the server keeps
+        only live sessions and threads, not one entry per connection."""
+        before = set(threading.enumerate())
+        srv = _server()
+        host, port = srv.start()
+        for tenant in range(5):
+            c = _Client(host, port, tenant=tenant)
+            assert c.hello["ok"]
+            c.close()
+        deadline = time.monotonic() + 5.0
+        while srv._sessions and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert srv._sessions == []
+        assert sorted(t.name for t in srv._threads) == [
+            "serve-accept", "serve-batch"]
+        took, leaked = _stop_timed(srv, before)
+        assert took < 0.5
+        assert leaked == []
+
+
 class TestSingleSession:
     def test_hello_reports_backend_and_quota(self):
         srv = _server(quota_bytes=1 << 16)

@@ -1,6 +1,6 @@
 """Determinism pins: tracer parity, ranking tie-breaks, RNG ownership.
 
-These are the regression tests for the scheduler fast path and the
+These are the regression tests for the scheduler run loop and the
 replay contract: attaching a tracer must not change what the simulator
 computes, derived rankings must not leak dict-insertion order, and
 every schedule-relevant random draw must come from the owned,
@@ -13,6 +13,7 @@ import random
 
 from repro.sim import ops
 from repro.sim.device import ThreadCtx, rng_randbelow
+from repro.sim.errors import EventBudgetExceeded
 from repro.sim.scheduler import Scheduler, SimReport
 from repro.sim.trace import Tracer
 from repro.sync.spinlock import SpinLock
@@ -31,8 +32,8 @@ def _contended_kernel(lock: SpinLock, counter: int, iters: int):
 
 class TestTracerParity:
     def test_traced_run_matches_fast_path(self, mem, device):
-        """The no-tracer fast path and the traced path must produce the
-        same virtual outcome — cycles, events, op counts, memory."""
+        """Untraced and traced runs must produce the same virtual
+        outcome — cycles, events, op counts, memory."""
         reports = []
         finals = []
         for tracer in (None, Tracer()):
@@ -52,12 +53,10 @@ class TestTracerParity:
         assert finals[0] == finals[1] == 2 * 32 * 3
 
     def test_digest_probe_parity_fast_vs_traced(self, mem, device):
-        """The schedule digest stream must be byte-identical between the
-        fast path and the traced path — the explorer's coverage hashes
-        are only meaningful if they name the schedule, not the loop that
-        executed it.  (The heap's *internal list order* differs between
-        the two loops for the same entry multiset, which is why
-        ``state_digest`` folds commutatively.)"""
+        """The schedule digest stream must be byte-identical between
+        untraced and traced runs — the explorer's coverage hashes are
+        only meaningful if they name the schedule, not the telemetry
+        attached to it."""
         streams = []
         for tracer in (None, Tracer()):
             m = type(mem)(1 << 20)
@@ -75,6 +74,37 @@ class TestTracerParity:
         fast, traced = streams
         assert fast, "probe never fired"
         assert fast == traced
+
+    def test_traced_run_leaves_identical_state(self, mem, device):
+        """Traced and untraced runs leave the same scheduler internals —
+        the pending-event heap *list* (not just its multiset), the word
+        service slots and memory — after a completed run and after a
+        budget trip that abandons one mid-flight."""
+        def state(tracer, max_events):
+            m = type(mem)(1 << 20)
+            lock = SpinLock(m)
+            counter = m.host_alloc(8)
+            m.store_word(counter, 0)
+            sched = Scheduler(m, device, seed=42, tracer=tracer)
+            sched.launch(_contended_kernel(lock, counter, 3), grid=2, block=32)
+            tripped = False
+            try:
+                sched.run(max_events=max_events)
+            except EventBudgetExceeded:
+                tripped = True
+            # timer entries carry a per-scheduler callback; compare the
+            # (time, seq, tid) keys that order the heap
+            heap = [entry[:3] for entry in sched._heap]
+            return (tripped, heap, dict(sched._word_avail), sched._seq,
+                    sched.now, bytes(m.words))
+
+        full = state(None, None)
+        assert not full[0]
+        assert full == state(Tracer(), None)
+        for budget in (333, 1000):
+            untraced = state(None, budget)
+            assert untraced[0] and untraced[1], "the budget must trip mid-run"
+            assert untraced == state(Tracer(), budget)
 
     def test_probe_does_not_change_the_schedule(self, mem, device):
         """Attaching a digest probe is observation only: the virtual
@@ -151,11 +181,14 @@ class TestRankingTieBreaks:
         )
         assert list(report.named_op_counts) == ["atomic_add", "load", "store"]
 
-    def test_hot_words_breaks_ties_on_address(self, mem, device):
-        sched = Scheduler(mem, device, seed=0, track_contention=True)
-        # first-touch order deliberately descending; 10 and 2 tie at 3 ops
-        sched._word_ops = {10: 3, 7: 5, 2: 3}
-        assert sched.hot_words() == [(7 << 3, 5), (2 << 3, 3), (10 << 3, 3)]
+    def test_top_stall_words_breaks_ties_on_address(self):
+        tracer = Tracer()
+        # first-touch order deliberately descending; 10 and 2 tie at 4
+        # stall cycles
+        for waddr, stall in ((10, 4), (7, 9), (2, 1), (2, 3)):
+            tracer.atomic_issued(waddr, stall)
+        assert tracer.top_stall_words() == [
+            (7 << 3, 1, 9), (2 << 3, 2, 4), (10 << 3, 1, 4)]
 
 
 class TestRngOwnership:

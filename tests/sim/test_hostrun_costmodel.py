@@ -5,6 +5,7 @@ import pytest
 from repro.sim import DeviceMemory, InvalidOp, Scheduler, ops
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hostrun import drive, host_ctx
+from repro.sim.trace import Tracer
 
 
 class TestHostRun:
@@ -131,7 +132,9 @@ class TestCostModel:
 
 
 class TestContentionTelemetry:
-    def test_hot_words_ranking(self):
+    """Per-word contention comes from the tracer's ``word_stats``."""
+
+    def test_word_stats_rank_by_op_count(self):
         mem = DeviceMemory(1 << 12)
         hot = mem.host_alloc(8)
         cold = mem.host_alloc(8)
@@ -141,18 +144,16 @@ class TestContentionTelemetry:
             if ctx.tid == 0:
                 yield ops.atomic_add(cold, 1)
 
-        s = Scheduler(mem, track_contention=True)
+        tracer = Tracer(timeline=False)
+        s = Scheduler(mem, tracer=tracer)
         s.launch(kernel, 1, 64)
         s.run()
-        ranking = s.hot_words(2)
-        assert ranking[0] == (hot, 64)
-        assert ranking[1] == (cold, 1)
-
-    def test_requires_flag(self):
-        mem = DeviceMemory(1 << 12)
-        s = Scheduler(mem)
-        with pytest.raises(ValueError):
-            s.hot_words()
+        ranking = sorted(((w << 3, st[0]) for w, st in tracer.word_stats.items()),
+                         key=lambda row: (-row[1], row[0]))
+        assert ranking == [(hot, 64), (cold, 1)]
+        # 64 same-word atomics queue behind each other; the lone one does not
+        assert tracer.top_stall_words(1)[0][:2] == (hot, 64)
+        assert tracer.word_stats[cold >> 3] == [1, 0]
 
     def test_identifies_allocator_hotspots(self):
         """Telemetry points at the semaphore/RCU words, as designed."""
@@ -167,11 +168,15 @@ class TestContentionTelemetry:
             p = yield from alloc.malloc(ctx, 64)
             assert p != mem.NULL
 
-        s = Scheduler(mem, device, seed=1, track_contention=True)
+        tracer = Tracer(timeline=False)
+        s = Scheduler(mem, device, seed=1, tracer=tracer)
         s.launch(kernel, 2, 256)
         s.run(max_events=20_000_000)
-        top_addr, top_count = s.hot_words(1)[0]
+        top_word, (top_count, _) = min(tracer.word_stats.items(),
+                                       key=lambda kv: (-kv[1][0], kv[0]))
         # the hottest word must be allocator metadata (above the pool),
         # touched by a significant share of the 512 allocations
-        assert top_addr >= alloc.pool_base or top_count >= 512
+        assert top_word << 3 >= alloc.pool_base or top_count >= 512
         assert top_count >= 512
+        # the stall ranking names serialization points the allocator hit
+        assert tracer.top_stall_words(1)[0][2] > 0

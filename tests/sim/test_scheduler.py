@@ -1,6 +1,9 @@
 """Scheduler behaviour: ordering, atomics, barriers, warps, residency,
 determinism, error paths."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -600,3 +603,45 @@ class TestReuseAndBudget:
         self._build(s, mem)
         with pytest.raises(EventBudgetExceeded):
             s.run(max_events=needed - 1)
+
+
+#: (min, max, sum) of the retention kernel's finish times at seed 3
+FINISH_PIN = (372, 620, 31742)
+
+
+class TestFinishedThreadRetention:
+    """A finished thread keeps its result, not its generator or context:
+    a long-lived scheduler (the serve engine's) must not accumulate one
+    frame, ThreadCtx and RNG per thread it ever ran."""
+
+    def _run(self, tracer=None):
+        mem = DeviceMemory(1 << 12)
+        word = mem.host_alloc(8)
+        ctx_refs = []
+
+        def kernel(ctx):
+            ctx_refs.append(weakref.ref(ctx))
+            old = yield ops.atomic_add(word, 1)
+            yield ops.sleep(ctx.tid % 5)
+            return (ctx.tid, old)
+
+        s = Scheduler(mem, seed=3, tracer=tracer)
+        h = s.launch(kernel, 2, 32)
+        s.run()
+        return s, h, ctx_refs
+
+    def test_finished_thread_keeps_results_not_generator_or_ctx(self):
+        s, h, ctx_refs = self._run()
+        assert len(ctx_refs) == 64
+        gc.collect()
+        assert all(ref() is None for ref in ctx_refs)
+        assert all(th.send is None and th.ctx is None for th in s._threads)
+        results = h.results
+        assert [tid for tid, _ in results] == h.tids
+        assert sorted(old for _, old in results) == list(range(64))
+        # pinned virtual completion times, identical traced or not
+        finish = h.finish_times
+        assert (min(finish), max(finish), sum(finish)) == FINISH_PIN
+        _, traced, _ = self._run(Tracer())
+        assert traced.finish_times == finish
+        assert traced.results == results
