@@ -24,9 +24,9 @@ persists across all of them.  This package is that front end:
     latency streams back from the lane completion times.
 
 :mod:`~repro.serve.server`
-    The socket front end: thread-per-connection readers feeding one
-    batcher thread, so the engine — and therefore the simulated device —
-    stays single-threaded and deterministic per batch.
+    The socket front end: one selector-loop thread that accepts, reads,
+    batches and replies, so the engine — and therefore the simulated
+    device — stays single-threaded and deterministic per batch.
 
 :mod:`~repro.serve.loadgen`
     A seeded open-loop load generator replaying workload-zoo traces (or

@@ -77,11 +77,16 @@ def _mismatch(label: str, tenant, field: str, got, want) -> str:
             f"{got} != {want}")
 
 
-def _check_against_server(report: loadgen.LoadReport,
-                          engine: ServeEngine) -> List[str]:
-    """Client ledgers vs the server's own accounting, field by field."""
+def _check_against_server(report: loadgen.LoadReport, engine: ServeEngine,
+                          balanced: bool) -> List[str]:
+    """Client ledgers vs the server's own accounting, field by field.
+
+    The server never sees the frees a client skips because their malloc
+    failed, so ``n_free_skipped`` is checked client-side instead: in a
+    trace that frees every allocation it equals ``n_malloc_failed``.
+    """
     problems: List[str] = []
-    fields = ("n_malloc", "n_malloc_failed", "n_free", "n_free_skipped",
+    fields = ("n_malloc", "n_malloc_failed", "n_free",
               "bytes_requested", "bytes_served")
     for t in sorted(set(report.tenants) | set(engine.stats)):
         client = report.tenants.get(t)
@@ -89,20 +94,14 @@ def _check_against_server(report: loadgen.LoadReport,
         if client is None or server is None:
             problems.append(f"  MISMATCH tenant {t} present on only one side")
             continue
-        # The server never sees client-side skipped frees unless the
-        # client reports them; the socket loadgen does not, so compare
-        # the causal sum instead of the split.
         for f in fields:
             got, want = getattr(client, f), getattr(server, f)
-            if f in ("n_free", "n_free_skipped"):
-                continue
             if got != want:
                 problems.append(_mismatch("server", t, f, got, want))
-        cs = client.n_free + client.n_free_skipped
-        ss = server.n_free + server.n_free_skipped
-        if cs != ss:
-            problems.append(_mismatch("server", t,
-                                      "n_free+n_free_skipped", cs, ss))
+        if balanced and client.n_free_skipped != client.n_malloc_failed:
+            problems.append(_mismatch("client", t, "n_free_skipped",
+                                      client.n_free_skipped,
+                                      client.n_malloc_failed))
     return problems
 
 
@@ -156,7 +155,8 @@ def _cmd_bench(args) -> int:
         print(f"  latency p50/p99: {engine.latency_percentile(50)}/"
               f"{engine.latency_percentile(99)} cycles; causes "
               f"{dict(sorted(engine.causes.items())) or '{}'}")
-        problems = _check_against_server(report, engine)
+        problems = _check_against_server(report, engine,
+                                         summary["live_at_end"] == 0)
         if args.reconcile:
             problems += _check_against_replay(report, trace, backend,
                                               args.pool, args.seed)

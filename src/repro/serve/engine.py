@@ -98,7 +98,6 @@ class ServeEngine:
     def __init__(self, backend: str = "ours", pool: int = 1 << 20,
                  seed: int = 0, num_sms: int = 4,
                  quota_bytes: Optional[int] = None,
-                 admit_pressure: bool = True,
                  sched: Optional[Scheduler] = None,
                  handle=None,
                  recorder: Optional[TraceRecorder] = None):
@@ -110,25 +109,23 @@ class ServeEngine:
         if handle is None:
             mem = DeviceMemory(pool * 4 + (8 << 20))
             device = GPUDevice(num_sms=num_sms)
-            handle = backend_registry.build(backend, mem, device, pool,
-                                            checked=False)
+            handle = backend_registry.build(backend, mem, device, pool)
             sched = Scheduler(mem, device, seed=seed)
         self.handle = handle
         self.sched = sched
         self.backend_name = handle.name
         probe = None
         pressure_min = 0
-        if admit_pressure:
-            gauge_fn = getattr(handle.allocator, "host_pressure", None)
-            if gauge_fn is not None:
-                probe = lambda: gauge_fn().free_bytes  # noqa: E731
-                # The gauge meters page-level (TBuddy) supply; gate only
-                # sizes the backend routes straight to it.  Bin-served
-                # sizes are invisible to the gauge and must be allowed
-                # to try (see the admission module docstring).
-                cfg = getattr(handle.allocator, "cfg", None)
-                if cfg is not None:
-                    pressure_min = getattr(cfg, "max_ualloc_size", -1) + 1
+        gauge_fn = getattr(handle.allocator, "host_pressure", None)
+        if gauge_fn is not None:
+            probe = lambda: gauge_fn().free_bytes  # noqa: E731
+            # The gauge meters page-level (TBuddy) supply; gate only
+            # sizes the backend routes straight to it.  Bin-served sizes
+            # are invisible to the gauge and must be allowed to try (see
+            # the admission module docstring).
+            cfg = getattr(handle.allocator, "cfg", None)
+            if cfg is not None:
+                pressure_min = getattr(cfg, "max_ualloc_size", -1) + 1
         self.admission = AdmissionController(quota_bytes, probe,
                                              pressure_min_size=pressure_min)
         self.recorder = recorder

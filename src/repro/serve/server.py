@@ -1,24 +1,31 @@
 """The socket front end: many tenant sessions, one deterministic engine.
 
-Threading model (chosen so the *simulator* never sees concurrency it
-cannot replay):
+Threading model: one thread.  The ``serve-loop`` thread runs a stdlib
+:mod:`selectors` loop that owns every socket and the
+:class:`~.engine.ServeEngine`, so the allocator, scheduler and admission
+ledgers are touched by exactly one thread — the simulator never sees
+concurrency it cannot replay.  The loop
 
-* an **accept thread** hands each incoming connection to a
-  **session thread**;
-* session threads only parse and validate — every well-formed request
-  is queued; malformed input is answered inline with a protocol-error
-  reply and counted;
-* a single **batcher thread** owns the :class:`~.engine.ServeEngine`:
-  it drains the queue into batches (up to ``batch_max`` requests or a
-  ``batch_window`` of wall-clock quiet), runs one episode per batch,
-  and writes the replies back on each session's socket.
+* accepts connections and reads each session's bytes into that
+  session's buffer, splitting out complete lines;
+* answers hello and malformed input inline (a protocol-error reply,
+  counted) and appends every well-formed request to one pending list;
+* runs the pending list as one episode (:meth:`ServeServer._run_batch`)
+  once it holds ``batch_max`` requests, or once ``batch_window``
+  seconds pass with no socket activity.
 
-So the socket layer is concurrent the way a service must be, while the
-allocator, scheduler and admission ledgers are touched by exactly one
-thread — batch composition depends on arrival timing (it is a real open
-system), but *within* any batch the outcome is the engine's
-deterministic contract.
+A batch is answered in arrival order after its episode; ``stats`` and
+``bye`` are answered after the batch they arrived with, so every session
+gets its replies in request order.  A session is closed after its
+``bye`` is answered, at EOF, on a line longer than
+:data:`~.protocol.MAX_LINE`, or when a reply fails to send within
+:data:`SEND_TIMEOUT` — a peer that stops reading cannot wedge the loop.
+Batch composition depends on arrival timing (it is a real open system),
+but *within* any batch the outcome is the engine's deterministic
+contract.
 
+:meth:`ServeServer.stop` sets a flag, wakes the loop through a
+socketpair and joins it; the loop's ``finally`` closes every socket.
 ``port=0`` binds an ephemeral port; :meth:`ServeServer.start` returns
 the bound address.  The server is a context manager::
 
@@ -28,42 +35,31 @@ the bound address.  The server is a context manager::
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
 import threading
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import protocol
 from .engine import ServeEngine, ServeRequest
 from .protocol import OP_BYE, OP_FREE, OP_MALLOC, OP_STATS, ProtocolError
 
+#: seconds one reply may take to send before its session is dropped
+SEND_TIMEOUT = 1.0
+
+_RECV_BYTES = 1 << 16
+
 
 class _Session:
-    """One connected client: socket, declared tenant, write lock."""
+    """One connected client: socket, declared tenant, unsplit bytes."""
 
-    def __init__(self, conn: socket.socket, peer: str):
+    __slots__ = ("conn", "tenant", "buf", "open")
+
+    def __init__(self, conn: socket.socket):
         self.conn = conn
-        self.peer = peer
         self.tenant: Optional[int] = None
-        self._wlock = threading.Lock()
-
-    def send(self, msg: dict) -> None:
-        data = protocol.encode(msg)
-        with self._wlock:
-            try:
-                self.conn.sendall(data)
-            except OSError:
-                pass  # peer vanished; its reader will observe EOF too
-
-    def close(self) -> None:
-        try:
-            self.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        self.buf = b""
+        self.open = True
 
 
 class ServeServer:
@@ -83,16 +79,10 @@ class ServeServer:
         self._host = host
         self._port = port
         self._listener: Optional[socket.socket] = None
-        self._queue: "queue.Queue" = queue.Queue()
-        # Live threads and sessions only: a session thread removes
-        # itself and its session on exit (guarded by _sessions_lock).
-        self._threads: List[threading.Thread] = []
-        self._sessions: List[_Session] = []
-        self._sessions_lock = threading.Lock()
-        # The most recently exited session thread; see _session_loop.
-        self._last_exited: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()  # protocol_errors counter
+        self._sel: Optional[selectors.BaseSelector] = None
+        self._wake: Optional[socket.socket] = None  # stop()'s end
+        self._thread: Optional[threading.Thread] = None
+        self._stop = False
         #: malformed messages received across all sessions (the CI
         #: smoke gate: any nonzero count fails the run)
         self.protocol_errors = 0
@@ -102,42 +92,31 @@ class ServeServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> Tuple[str, int]:
-        if self._listener is not None:
+        if self._thread is not None:
             raise RuntimeError("server already started")
         lst = socket.create_server((self._host, self._port))
+        lst.setblocking(False)
+        wake_r, self._wake = socket.socketpair()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(lst, selectors.EVENT_READ)
+        self._sel.register(wake_r, selectors.EVENT_READ)
         self._listener = lst
         self.address = lst.getsockname()[:2]
-        for fn, name in ((self._accept_loop, "serve-accept"),
-                         (self._batch_loop, "serve-batch")):
-            t = threading.Thread(target=fn, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._thread = threading.Thread(target=self._loop, name="serve-loop",
+                                        daemon=True)
+        self._thread.start()
         return self.address
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            # close() alone does not wake a thread blocked in accept()
-            # on Linux; shutdown() does, so the join below is prompt.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-            threads = list(self._threads)
-        for s in sessions:
-            s.close()
-        self._queue.put(None)  # wake the batcher
-        for t in threads:
-            t.join(timeout=5.0)
-        last = self._last_exited
-        if last is not None:
-            last.join(timeout=5.0)
+        if self._thread is None:
+            return
+        self._stop = True
+        try:
+            self._wake.send(b"\0")
+        except OSError:
+            pass  # the loop has already exited
+        self._thread.join()
+        self._wake.close()
 
     def __enter__(self) -> Tuple[str, int]:
         return self.start()
@@ -145,138 +124,134 @@ class ServeServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _count_protocol_error(self) -> None:
-        with self._lock:
-            self.protocol_errors += 1
-
     # ------------------------------------------------------------------
-    # accept + session threads (parse/validate only)
+    # the loop (sole owner of every socket and of the engine)
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            sess = _Session(conn, f"{peer[0]}:{peer[1]}")
-            t = threading.Thread(target=self._session_loop, args=(sess,),
-                                 name=f"serve-session-{sess.peer}",
-                                 daemon=True)
-            # registered before start(), so the exiting thread finds itself
-            with self._sessions_lock:
-                self._sessions.append(sess)
-                self._threads.append(t)
-            t.start()
-
-    def _session_loop(self, sess: _Session) -> None:
+    def _loop(self) -> None:
+        sel = self._sel
+        pending: list = []  # (session, request) in arrival order
         try:
-            self._serve_session(sess)
+            while not self._stop:
+                events = sel.select(self.batch_window if pending else None)
+                for key, _ in events:
+                    if key.data is not None:
+                        self._read(key.data, pending)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+                    # else the wake socket: the loop test sees _stop
+                # full batches run at once; a partial one after a quiet
+                # batch_window
+                ready = len(pending)
+                if events:
+                    ready -= ready % self.batch_max
+                for i in range(0, ready, self.batch_max):
+                    self._run_batch(pending[i:i + self.batch_max])
+                del pending[:ready]
         finally:
-            sess.close()
-            me = threading.current_thread()
-            with self._sessions_lock:
-                self._sessions.remove(sess)
-                self._threads.remove(me)
-                prev, self._last_exited = self._last_exited, me
-            # Each exiting session thread joins the one that exited
-            # before it, and stop() joins the last: every session thread
-            # is joined without the server keeping one per session.
-            if prev is not None:
-                prev.join()
+            for sess, _ in pending:
+                self._drop(sess)  # those unregistered at their bye too
+            for key in list(sel.get_map().values()):
+                key.fileobj.close()
+            sel.close()
 
-    def _serve_session(self, sess: _Session) -> None:
+    def _accept(self) -> None:
         try:
-            reader = sess.conn.makefile("r", encoding="utf-8", newline="\n")
+            conn, _ = self._listener.accept()
         except OSError:
-            return
-        with reader:
-            for line in reader:
-                if self._stop.is_set():
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    msg = protocol.decode_line(line)
-                    if sess.tenant is None:
-                        hello = protocol.parse_hello(msg)
-                        sess.tenant = hello.tenant
-                        sess.send(protocol.hello_reply(
-                            self.engine.backend_name,
-                            self.engine.admission.quota_bytes,
-                            self.batch_max,
-                        ))
-                        continue
-                    req = protocol.parse_request(msg)
-                except ProtocolError as e:
-                    self._count_protocol_error()
-                    sess.send(protocol.protocol_error_reply(str(e)))
-                    continue
-                if req.op == OP_BYE:
-                    sess.send(protocol.bye_reply())
-                    break
-                # malloc/free/stats are serviced by the batcher thread
-                self._queue.put((sess, req))
+            return  # the peer gave up before we got to it
+        conn.settimeout(SEND_TIMEOUT)
+        self._sel.register(conn, selectors.EVENT_READ, _Session(conn))
 
-    # ------------------------------------------------------------------
-    # the batcher thread (sole owner of the engine)
-    # ------------------------------------------------------------------
-    def _batch_loop(self) -> None:
-        q = self._queue
-        while True:
+    def _read(self, sess: _Session, pending: list) -> None:
+        try:
+            data = sess.conn.recv(_RECV_BYTES)
+        except OSError:
+            data = b""
+        if not data:  # EOF or reset: replies still owed go nowhere
+            self._drop(sess)
+            return
+        *lines, sess.buf = (sess.buf + data).split(b"\n")
+        for raw in lines:
+            if not sess.open:
+                return  # a reply to it failed
             try:
-                first = q.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                self._protocol_error(sess, f"not valid UTF-8: {e}")
                 continue
-            if first is None:
+            if not line:
+                continue
+            try:
+                msg = protocol.decode_line(line)
+                if sess.tenant is None:
+                    sess.tenant = protocol.parse_hello(msg).tenant
+                    self._send(sess, protocol.hello_reply(
+                        self.engine.backend_name,
+                        self.engine.admission.quota_bytes,
+                        self.batch_max,
+                    ))
+                    continue
+                req = protocol.parse_request(msg)
+            except ProtocolError as e:
+                self._protocol_error(sess, str(e))
+                continue
+            pending.append((sess, req))
+            if req.op == OP_BYE:
+                # read nothing more; _run_batch closes it after the reply
+                self._sel.unregister(sess.conn)
                 return
-            entries = [first]
-            # Collect the rest of the batch: up to batch_max requests,
-            # waiting at most batch_window for stragglers.
-            while len(entries) < self.batch_max:
-                try:
-                    nxt = q.get(timeout=self.batch_window)
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    self._run_batch(entries)
-                    return
-                entries.append(nxt)
-            self._run_batch(entries)
+        if len(sess.buf) > protocol.MAX_LINE:
+            self._protocol_error(
+                sess, f"line exceeds {protocol.MAX_LINE} bytes")
+            self._drop(sess)
+
+    def _send(self, sess: _Session, msg: dict) -> None:
+        if not sess.open:
+            return
+        try:
+            sess.conn.sendall(protocol.encode(msg))
+        except OSError:  # peer gone, or not reading for SEND_TIMEOUT
+            self._drop(sess)
+
+    def _protocol_error(self, sess: _Session, detail: str) -> None:
+        self.protocol_errors += 1
+        self._send(sess, protocol.protocol_error_reply(detail))
+
+    def _drop(self, sess: _Session) -> None:
+        if not sess.open:
+            return
+        sess.open = False
+        try:
+            self._sel.unregister(sess.conn)
+        except KeyError:
+            pass  # already unregistered at its bye
+        sess.conn.close()
 
     def _run_batch(self, entries) -> None:
-        batch_entries = []
-        stats_entries = []
+        """Run one batch of ``(session, request)`` pairs as one episode
+        and answer every entry in order; ``stats`` sees the episode."""
+        batch = [ServeRequest(sess.tenant, req.op, size=req.size,
+                              addr=req.addr)
+                 for sess, req in entries if req.op in (OP_MALLOC, OP_FREE)]
+        outcomes = iter(self.engine.submit(batch) if batch else ())
+        snap = None
         for sess, req in entries:
             if req.op == OP_STATS:
-                stats_entries.append(sess)
+                if snap is None:
+                    snap = self.engine.snapshot()
+                    snap.update({"ok": True, "op": OP_STATS})
+                self._send(sess, snap)
+            elif req.op == OP_BYE:
+                self._send(sess, protocol.bye_reply())
+                self._drop(sess)
             else:
-                batch_entries.append((sess, req))
-        if batch_entries:
-            batch = [
-                ServeRequest(sess.tenant, req.op, size=req.size,
-                             addr=req.addr)
-                for sess, req in batch_entries
-            ]
-            outcomes = self.engine.submit(batch)
-            for (sess, req), out in zip(batch_entries, outcomes):
+                out = next(outcomes)
                 if out.ok:
-                    sess.send(protocol.request_reply(
+                    self._send(sess, protocol.request_reply(
                         req.req, ok=True,
                         addr=out.addr if req.op == OP_MALLOC else None,
                         latency=out.latency, episode=out.episode,
                     ))
                 else:
-                    sess.send(protocol.request_reply(
+                    self._send(sess, protocol.request_reply(
                         req.req, ok=False, cause=out.cause))
-        # Stats snapshots are answered after the batch they arrived
-        # with, so a session that drains its replies before asking sees
-        # its own requests reflected.
-        if stats_entries:
-            snap = self.engine.snapshot()
-            snap.update({"ok": True, "op": OP_STATS})
-            for sess in stats_entries:
-                sess.send(snap)

@@ -10,13 +10,15 @@ channel without disturbing well-formed sessions.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import threading
 import time
 
 from repro.serve import protocol
 from repro.serve.engine import ServeEngine
-from repro.serve.server import ServeServer
+from repro.serve.protocol import Request
+from repro.serve.server import ServeServer, _Session
 
 
 class _Client:
@@ -47,6 +49,18 @@ class _Client:
             self._rpc({"op": "bye"})
         finally:
             self.conn.close()
+
+
+def _connect(host, port):
+    conn = socket.create_connection((host, port))
+    conn.settimeout(5.0)  # a missing reply fails the test, not hangs it
+    return conn
+
+
+def _read_until_eof(conn):
+    """Every reply the server sends until it closes the session."""
+    with conn, conn.makefile("r", encoding="utf-8", newline="\n") as r:
+        return [json.loads(line) for line in r]
 
 
 def _server(**engine_kw):
@@ -90,8 +104,8 @@ class TestLifecycle:
 
 
     def test_finished_sessions_are_forgotten(self):
-        """Each hello/bye session leaves nothing behind: the server keeps
-        only live sessions and threads, not one entry per connection."""
+        """Each hello/bye session leaves nothing behind: one loop thread,
+        and a selector holding only the listener and the wake socket."""
         before = set(threading.enumerate())
         srv = _server()
         host, port = srv.start()
@@ -100,14 +114,32 @@ class TestLifecycle:
             assert c.hello["ok"]
             c.close()
         deadline = time.monotonic() + 5.0
-        while srv._sessions and time.monotonic() < deadline:
+        while len(srv._sel.get_map()) > 2 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert srv._sessions == []
-        assert sorted(t.name for t in srv._threads) == [
-            "serve-accept", "serve-batch"]
+        assert len(srv._sel.get_map()) == 2
+        assert [t.name for t in threading.enumerate()
+                if t not in before] == ["serve-loop"]
         took, leaked = _stop_timed(srv, before)
         assert took < 0.5
         assert leaked == []
+
+    def test_pipelined_bye_is_answered_after_the_requests_before_it(self):
+        srv = _server()
+        with srv as (host, port):
+            conn = _connect(host, port)
+            conn.sendall(b"".join(protocol.encode(m) for m in (
+                {"op": "hello", "proto": protocol.PROTOCOL, "tenant": 0},
+                {"op": "malloc", "req": 0, "size": 64},
+                {"op": "malloc", "req": 1, "size": 64},
+                {"op": "bye"},
+            )))
+            replies = _read_until_eof(conn)
+        assert [r.get("op", r.get("req")) for r in replies] == [
+            "hello", 0, 1, "bye"]
+        assert all(r["ok"] for r in replies)
+        assert replies[1]["addr"] != replies[2]["addr"]
+        assert srv.engine.live_allocations == 2
+        assert srv.protocol_errors == 0
 
 
 class TestSingleSession:
@@ -195,6 +227,66 @@ class TestProtocolErrorChannel:
             assert r["error"] == "protocol" and "unknown op" in r["detail"]
             c.close()
         assert srv.protocol_errors == 1
+
+    def test_non_utf8_line_is_counted_and_answered(self):
+        srv = _server()
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+            c.conn.settimeout(5.0)
+            c.conn.sendall(b"\xff\xfe\n" + protocol.encode(
+                {"op": "malloc", "req": 0, "size": 64}))
+            r = json.loads(c.reader.readline())
+            assert r["error"] == "protocol" and "UTF-8" in r["detail"]
+            m = json.loads(c.reader.readline())
+            assert m["ok"] and m["req"] == 0
+            c.close()
+        assert srv.protocol_errors == 1
+
+    def test_overlong_partial_line_is_answered_and_closes_the_session(self):
+        srv = _server()
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+            c.conn.settimeout(5.0)
+            c.conn.sendall(b"x" * (protocol.MAX_LINE + 1))
+            replies = [json.loads(line) for line in c.reader]
+            c.conn.close()
+        assert len(replies) == 1
+        assert replies[0]["error"] == "protocol"
+        assert str(protocol.MAX_LINE) in replies[0]["detail"]
+        assert srv.protocol_errors == 1
+
+
+class _StuckSocket(socket.socket):
+    """A session socket whose peer has stopped reading."""
+
+    def sendall(self, data, flags=0):
+        raise socket.timeout("timed out")
+
+
+class TestSendTimeout:
+    def test_a_session_whose_send_times_out_is_dropped(self):
+        srv = _server()
+        srv._sel = selectors.DefaultSelector()
+        pairs = [socket.socketpair() for _ in range(2)]
+        try:
+            stuck = _Session(_StuckSocket(fileno=pairs[0][0].detach()))
+            ok = _Session(pairs[1][0])
+            for sess in (stuck, ok):
+                sess.tenant = 0
+                srv._sel.register(sess.conn, selectors.EVENT_READ, sess)
+            srv._run_batch([(stuck, Request("stats")),
+                            (ok, Request("stats"))])
+            assert not stuck.open and stuck.conn.fileno() == -1
+            assert ok.open
+            assert set(k.data for k in srv._sel.get_map().values()) == {ok}
+            pairs[1][1].settimeout(5.0)
+            reply = json.loads(pairs[1][1].makefile("r").readline())
+            assert reply["ok"] and reply["op"] == "stats"
+        finally:
+            srv._sel.close()
+            for a, b in pairs:
+                a.close()
+                b.close()
 
 
 class TestConcurrentTenants:
